@@ -253,9 +253,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     workload = generate_workload(args.images, rng, shapes_per_image=4.0,
                                  noise=0.01)
     base = ShapeBase(alpha=0.1)
-    for image in workload.images:
-        for shape in image.shapes:
-            base.add_shape(shape, image_id=image.image_id)
+    base.add_shapes(workload.all_shapes(),
+                    image_ids=workload.image_ids())
     print(f"demo base: {base.num_shapes} shapes, "
           f"{base.num_entries} copies")
     matcher = GeometricSimilarityMatcher(base)
@@ -362,17 +361,6 @@ def _bench_exit(escaped: list, failures: list) -> int:
     return 1 if (escaped or failures) else 0
 
 
-def _pctl(sorted_values: list, q: float) -> float:
-    """Interpolated percentile of an already-sorted list."""
-    if not sorted_values:
-        return 0.0
-    position = (len(sorted_values) - 1) * (q / 100.0)
-    lo = int(position)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = position - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
-
-
 def _kill_worker_over_http(endpoint, index: int = 0):
     """Ask a replica's admin surface to SIGKILL one of its workers."""
     import http.client
@@ -411,6 +399,7 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
 
     from .service import ServiceConfig
     from .service.http import Balancer, NoHealthyReplicas, ReplicaSet
+    from .service.metrics import percentile
 
     if args.replicas < 2 and args.chaos is not None:
         print("error: --http --chaos needs --replicas >= 2 (someone "
@@ -550,8 +539,8 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                 if lat:
                     phases[phase] = {
                         "queries": len(lat),
-                        "p50_ms": round(_pctl(lat, 50.0) * 1e3, 2),
-                        "p99_ms": round(_pctl(lat, 99.0) * 1e3, 2)}
+                        "p50_ms": round(percentile(lat, 50.0) * 1e3, 2),
+                        "p99_ms": round(percentile(lat, 99.0) * 1e3, 2)}
             all_lat = sorted(seconds
                              for _, _, _, seconds, _ in outcomes)
 
@@ -611,8 +600,8 @@ def _serve_bench_http(args: argparse.Namespace, base, sketches,
                 "wall_s": round(wall, 4),
                 "throughput_qps": (round(completed / wall, 2)
                                    if wall else 0.0),
-                "latency_p50_ms": round(_pctl(all_lat, 50.0) * 1e3, 2),
-                "latency_p99_ms": round(_pctl(all_lat, 99.0) * 1e3, 2),
+                "latency_p50_ms": round(percentile(all_lat, 50.0) * 1e3, 2),
+                "latency_p99_ms": round(percentile(all_lat, 99.0) * 1e3, 2),
                 "phases": phases,
             }
             if kill_at is not None:
@@ -794,9 +783,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         workload = generate_workload(args.images, rng,
                                      shapes_per_image=4.0, noise=0.01)
         base = ShapeBase(alpha=0.1)
-        for image in workload.images:
-            for shape in image.shapes:
-                base.add_shape(shape, image_id=image.image_id)
+        base.add_shapes(workload.all_shapes(),
+                        image_ids=workload.image_ids())
         sketches = [query for query, _ in
                     make_query_set(workload, args.distinct,
                                    np.random.default_rng(args.seed + 1),
@@ -900,14 +888,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 chunk = [sketches[(index + j) % len(sketches)]
                          for j in range(take)]
                 try:
-                    if batch_size:
-                        results = service.retrieve_batch(chunk, k=args.k)
-                    else:
-                        results = [service.retrieve(chunk[0], k=args.k)]
+                    results = service.retrieve_batch(chunk, k=args.k)
                 except Exception as exc:
                     # Under chaos this is the invariant violation the
                     # smoke run exists to catch: no exception may
-                    # escape retrieve/retrieve_batch.
+                    # escape the service.
                     with lock:
                         escaped.append(f"{type(exc).__name__}: {exc}")
                     return
@@ -1115,9 +1100,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workload = generate_workload(args.images, rng,
                                      shapes_per_image=4.0, noise=0.01)
         base = ShapeBase(alpha=0.1)
-        for image in workload.images:
-            for shape in image.shapes:
-                base.add_shape(shape, image_id=image.image_id)
+        base.add_shapes(workload.all_shapes(),
+                        image_ids=workload.image_ids())
         tempdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
         snapshot_path = os.path.join(tempdir.name, "serve.gsb")
         save_base(base, snapshot_path,

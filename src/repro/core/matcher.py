@@ -472,31 +472,23 @@ class GeometricSimilarityMatcher:
               ) -> Tuple[List[Match], MatchStats]:
         """Return up to ``k`` best matches and the work statistics.
 
-        ``on_candidate`` fires, in evaluation order, for every entry
-        whose exact measure is computed — the access trace the external
-        storage experiments of Section 4 replay.  ``abort`` (polled per
-        iteration) cancels the search cooperatively; see :meth:`_drive`.
+        A batch of one: see :meth:`query_batch`.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self.base.num_entries == 0:
-            stats = MatchStats()
-            stats.exhausted = True
-            return [], stats
-        with self._scratch() as scratch:
-            return self._query_one(query, k, on_candidate, abort, scratch)
+        return self.query_batch([query], k, on_candidate, abort)[0]
 
     def query_batch(self, queries: Sequence[Shape], k: int = 1,
                     on_candidate: Optional[Callable[[ShapeEntry], None]]
                     = None,
                     abort: Optional[Callable[[], bool]] = None
                     ) -> List[Tuple[List[Match], MatchStats]]:
-        """Answer several queries, amortizing the per-query setup.
+        """Up to ``k`` best matches and the work statistics per query.
 
-        Returns exactly ``[query(q, k) for q in queries]`` — one
-        normalization and schedule per query, but a single scratch
-        checkout shared (serially) across the whole batch.  The service
-        tier feeds cache misses through this path.
+        One normalization and schedule per query, but a single scratch
+        checkout shared (serially) across the whole batch.
+        ``on_candidate`` fires, in evaluation order, for every entry
+        whose exact measure is computed — the access trace the external
+        storage experiments of Section 4 replay.  ``abort`` (polled per
+        iteration) cancels the search cooperatively; see :meth:`_drive`.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -509,10 +501,11 @@ class GeometricSimilarityMatcher:
             return results
         results = []
         with self._scratch() as scratch:
-            for query in queries:
+            for position, query in enumerate(queries):
+                if position:
+                    scratch.reset()     # the checkin resets the last one
                 results.append(self._query_one(query, k, on_candidate,
                                                abort, scratch))
-                scratch.reset()
         return results
 
     def _query_one(self, query: Shape, k: int,
@@ -575,8 +568,8 @@ class GeometricSimilarityMatcher:
 
         The algebra engine's ``similar`` leaves arrive in groups (every
         distinct query shape of a composite plan); this amortizes the
-        scratch checkout the same way :meth:`query_batch` does for the
-        service tier's top-k misses.
+        scratch checkout the same way :meth:`query_batch` does for
+        top-k queries.
         """
         if distance_threshold < 0:
             raise ValueError("distance_threshold must be non-negative")

@@ -207,37 +207,20 @@ class GeoSIR:
 
         With a service enabled (:meth:`enable_service`) the query goes
         through the sharded concurrent tier — same answers (shard
-        merging is exact), plus caching and graceful degradation.
+        merging is exact), plus caching and graceful degradation.  A
+        batch of one: see :meth:`retrieve_batch`.
         """
-        if self._service is not None:
-            result = self._service.retrieve(sketch, k=k)
-            if result.overloaded:
-                raise RuntimeError("retrieval service overloaded; "
-                                   "retry or raise max_pending")
-            return RetrievalResult(matches=result.matches,
-                                   stats=result.stats,
-                                   method=result.method)
-        matches, stats = self.matcher.query(sketch, k=k)
-        good = [m for m in matches if m.distance <= self.match_threshold]
-        if good:
-            return RetrievalResult(matches=matches, stats=stats,
-                                   method="envelope")
-        approx = self.retriever.query(sketch, k=k)
-        if not approx:
-            # Nothing hashed either; return whatever the matcher had.
-            return RetrievalResult(matches=matches, stats=stats,
-                                   method="envelope")
-        return RetrievalResult(matches=approx, stats=stats, method="hashing")
+        return self.retrieve_batch([sketch], k)[0]
 
     def retrieve_batch(self, sketches: Sequence[Shape], k: int = 1
                        ) -> List[RetrievalResult]:
-        """Batched best-match retrieval; equals per-sketch `retrieve`.
+        """Best-match retrieval per sketch, with hashing fallback.
 
-        With a service enabled the batch goes through its amortized
-        multi-query path (cache probes, coalescing, per-shard batched
-        matcher calls); without one, the matcher's ``query_batch``
-        amortizes the per-query scratch, with the same per-sketch
-        hashing fallback as :meth:`retrieve`.
+        With a service enabled the batch goes through its retrieval
+        path (cache probes, coalescing, shard fan-out); without one,
+        the matcher's ``query_batch`` amortizes the per-query scratch,
+        and a sketch with no match under ``match_threshold`` is
+        answered by geometric hashing when that finds anything.
         """
         sketches = list(sketches)
         if self._service is not None:
@@ -254,22 +237,14 @@ class GeoSIR:
         results = []
         for sketch, (matches, stats) in zip(
                 sketches, self.matcher.query_batch(sketches, k=k)):
-            good = [m for m in matches
-                    if m.distance <= self.match_threshold]
-            if good:
-                results.append(RetrievalResult(matches=matches,
-                                               stats=stats,
-                                               method="envelope"))
-                continue
-            approx = self.retriever.query(sketch, k=k)
-            if not approx:
-                results.append(RetrievalResult(matches=matches,
-                                               stats=stats,
-                                               method="envelope"))
-            else:
-                results.append(RetrievalResult(matches=approx,
-                                               stats=stats,
-                                               method="hashing"))
+            method = "envelope"
+            if not any(m.distance <= self.match_threshold
+                       for m in matches):
+                approx = self.retriever.query(sketch, k=k)
+                if approx:
+                    matches, method = approx, "hashing"
+            results.append(RetrievalResult(matches=matches, stats=stats,
+                                           method=method))
         return results
 
     def retrieve_similar(self, sketch: Shape,

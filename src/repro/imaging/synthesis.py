@@ -163,6 +163,11 @@ class SyntheticWorkload:
     def all_shapes(self) -> List[Shape]:
         return [s for image in self.images for s in image.shapes]
 
+    def image_ids(self) -> List[int]:
+        """The image id of every shape, in :meth:`all_shapes` order."""
+        return [image.image_id for image in self.images
+                for _ in image.shapes]
+
 
 def generate_workload(num_images: int, rng: np.random.Generator,
                       shapes_per_image: float = 5.5,

@@ -50,8 +50,8 @@ KINDS = (EXCEPTION, LATENCY, CORRUPT, WRONG_SHARD)
 #: exact envelope tier, ``ANN_OPS`` the LSH-pruned tier; the default
 #: chaos plan targets both (everything except the hash tier, which is
 #: each shard's last-resort fallback).
-MATCHER_OPS = ("query", "query_batch")
-ANN_OPS = ("ann_query", "ann_query_batch")
+MATCHER_OPS = ("query",)
+ANN_OPS = ("ann_query",)
 ALL_OPS = MATCHER_OPS + ANN_OPS + ("hash_query",)
 
 #: Shape-id offset used by ``wrong_shard`` faults — far outside any
@@ -258,15 +258,6 @@ class FaultyShard:
             matches = _mangle_matches(spec, matches)
         return matches, stats
 
-    def query_batch(self, sketches, k, abort=None):
-        spec = self._plan.decide(self._shard.index, "query_batch")
-        self._pre(spec, abort)
-        results = self._shard.query_batch(sketches, k, abort=abort)
-        if spec is None:
-            return results
-        return [(_mangle_matches(spec, matches), stats)
-                for matches, stats in results]
-
     def ann_query(self, sketch, k, abort=None):
         spec = self._plan.decide(self._shard.index, "ann_query")
         self._pre(spec, abort)
@@ -274,15 +265,6 @@ class FaultyShard:
         if spec is not None:
             matches = _mangle_matches(spec, matches)
         return matches, stats
-
-    def ann_query_batch(self, sketches, k, abort=None):
-        spec = self._plan.decide(self._shard.index, "ann_query_batch")
-        self._pre(spec, abort)
-        results = self._shard.ann_query_batch(sketches, k, abort=abort)
-        if spec is None:
-            return results
-        return [(_mangle_matches(spec, matches), stats)
-                for matches, stats in results]
 
     def hash_query(self, sketch, k):
         spec = self._plan.decide(self._shard.index, "hash_query")

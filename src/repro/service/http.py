@@ -74,7 +74,7 @@ from .cache import sketch_signature
 from .deadline import Deadline
 from .metrics import MetricsRegistry
 from .service import OVERLOADED, RetrievalService, ServiceConfig, \
-    ServiceResult
+    ServiceResult, check_k
 
 #: Remaining-budget request header (milliseconds, relative).
 DEADLINE_HEADER = "X-Deadline-Ms"
@@ -254,9 +254,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._shed("deadline already expired", "http.shed_deadline")
             return
         sketch = shape_from_dict(body["sketch"])
-        k = int(body.get("k", 1))
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        k = body.get("k", 1)
+        check_k(k)      # before the ETag match: no 304 for a bad k
 
         etag = query_etag(app.service.shards.version, sketch, k)
         candidates = self.headers.get("If-None-Match", "")
@@ -294,7 +293,7 @@ class _Handler(BaseHTTPRequestHandler):
         sketches = [shape_from_dict(entry) for entry in body["sketches"]]
         if not sketches:
             raise ValueError("sketches must be non-empty")
-        k = int(body.get("k", 1))
+        k = body.get("k", 1)
         app.metrics.counter("http.queries").increment(len(sketches))
         results = app.service.retrieve_batch(sketches, k=k,
                                              deadline=deadline)

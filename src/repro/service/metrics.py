@@ -16,9 +16,21 @@ import threading
 from bisect import insort
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..storage.buffer import BufferPool
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Interpolated q-th percentile (``q`` in [0, 100]) of an
+    already-sorted sequence; 0.0 when it is empty."""
+    if not sorted_values:
+        return 0.0
+    position = (len(sorted_values) - 1) * (q / 100.0)
+    lo = int(position)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    frac = position - lo
+    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
 class Counter:
@@ -83,13 +95,7 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """The q-th percentile (``q`` in [0, 100]) of the window."""
         with self._lock:
-            if not self._sorted:
-                return 0.0
-            position = (len(self._sorted) - 1) * (q / 100.0)
-            lo = int(position)
-            hi = min(lo + 1, len(self._sorted) - 1)
-            frac = position - lo
-            return self._sorted[lo] * (1 - frac) + self._sorted[hi] * frac
+            return percentile(self._sorted, q)
 
     @property
     def count(self) -> int:

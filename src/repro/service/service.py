@@ -1,12 +1,14 @@
 """The embeddable retrieval service: admission → cache → shards → merge.
 
-One query's path through :class:`RetrievalService`:
+One query's path through :class:`RetrievalService` (a single query is
+a batch of one; every batch takes this path):
 
 1. **admission** — take an in-flight slot from the bounded
    :class:`~repro.service.pool.AdmissionQueue`; saturation sheds the
    query with an explicit ``overloaded`` result (never blocks);
 2. **cache** — probe the :class:`~repro.service.cache.QueryResultCache`
    under the sketch's canonical (similarity-invariant) signature;
+   identical queries in flight coalesce onto one computation;
 3. **fan-out** — run the envelope matcher on every shard, in parallel
    on the worker pool, each with the query's deadline as its
    cooperative abort;
@@ -36,6 +38,7 @@ mode degrades the answer, never the availability.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import threading
 import time
@@ -239,6 +242,13 @@ class _ShardOutcome:
     error: Optional[str] = None
     attempts: int = 0
     breaker_skipped: bool = False
+
+
+def check_k(k) -> None:
+    """Reject a top-k ``k`` that is not an integer >= 1 (bools too)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) \
+            or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 
 def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
@@ -865,40 +875,36 @@ class RetrievalService:
     # ------------------------------------------------------------------
     def retrieve(self, sketch: Shape, k: int = 1,
                  deadline: Optional[float] = None) -> ServiceResult:
-        """Serve one query end to end (admission included)."""
-        if self._closed:
-            raise RuntimeError(
-                "RetrievalService is closed; create a new service")
-        self._ensure_processes()
-        self.metrics.counter("queries.total").increment()
-        if not self.admission.try_admit():
-            self.metrics.counter("queries.shed").increment()
-            return ServiceResult(status=OVERLOADED)
-        try:
-            return self._admitted_retrieve(sketch, k, deadline)
-        finally:
-            self.admission.release()
+        """Serve one query end to end: a batch of one."""
+        return self.retrieve_batch([sketch], k, deadline)[0]
 
     def retrieve_batch(self, sketches: Sequence[Shape], k: int = 1,
                        deadline: Optional[float] = None
                        ) -> List[ServiceResult]:
-        """Serve many sketches through the amortized batch path.
+        """Serve sketches end to end; results come back in input order.
 
-        Admission happens at *submission* time — the bounded queue is
-        the backlog, so a batch larger than the remaining slots sheds
-        its tail immediately rather than queueing it invisibly; the
-        admitted sketches hold their slots until the batch completes.
-        Each admitted sketch gets one cache probe; identical misses
-        coalesce onto one computation, and the remaining unique misses
-        are answered by *batched* per-shard matcher calls pipelined on
-        the worker pool (one scratch checkout per shard for the whole
-        batch).  ``deadline`` budgets the batch as a whole.  Results
-        come back in input order, identical to per-sketch
-        :meth:`retrieve` calls.
+        The service's one retrieval path (:meth:`retrieve` is a batch
+        of one).  ``k`` must be an integer >= 1; anything else raises
+        ``ValueError`` before admission, metrics or fan-out.
+
+        Admission happens at submission time: the bounded queue is the
+        backlog, so a batch larger than the remaining slots sheds its
+        tail at once rather than queueing it invisibly, and admitted
+        sketches hold their slots until the batch completes.
+        ``deadline`` budgets the batch as a whole and picks one ladder
+        rung for it.  Each admitted sketch gets one cache probe;
+        identical misses within the batch coalesce onto one leader, and
+        a leader whose query another request is already computing waits
+        for that answer (within the deadline) instead of repeating the
+        work.  The remaining misses fan out as one resilient task per
+        shard, which runs the per-sketch shard op (``query``, or
+        ``ann_query`` on the ANN rung) over them in turn.  Answers are
+        identical to sequential calls.
         """
         if self._closed:
             raise RuntimeError(
                 "RetrievalService is closed; create a new service")
+        check_k(k)
         self._ensure_processes()
         sketches = list(sketches)
         results: List[Optional[ServiceResult]] = [None] * len(sketches)
@@ -913,23 +919,19 @@ class RetrievalService:
         if not admitted:
             return results
         try:
-            self._retrieve_admitted_batch(sketches, k, deadline,
-                                          admitted, results)
+            self._serve_admitted(sketches, k, deadline, admitted, results)
         finally:
             for _ in admitted:
                 self.admission.release()
         return results
 
-    def _retrieve_admitted_batch(self, sketches: List[Shape], k: int,
-                                 deadline: Optional[float],
-                                 admitted: List[int],
-                                 results: List[Optional[ServiceResult]]
-                                 ) -> None:
+    def _serve_admitted(self, sketches: List[Shape], k: int,
+                        deadline: Optional[float], admitted: List[int],
+                        results: List[Optional[ServiceResult]]) -> None:
         start = time.perf_counter()
         if deadline is None:
             deadline = self.config.deadline
         budget = Deadline(deadline)
-        version = self.shards.version
 
         # -- tier selection (one rung for the whole batch) --------------
         tier = self._select_tier(budget)
@@ -940,59 +942,131 @@ class RetrievalService:
                 results[position] = self._hash_only(
                     sketches[position], k, budget, start)
             return
+        # ANN answers are cached under their own signature kind: they
+        # are *not* interchangeable with exact answers, so the two
+        # tiers must never alias in the cache.
         cache_kind = "topk" if tier == TIER_EXACT else "topk-ann"
+
+        followers: Dict[int, List[int]] = {}
+
+        def finish(position: int, result: ServiceResult) -> None:
+            """Serve ``result`` at ``position`` and to its followers."""
+            self.metrics.counter("queries.served").increment()
+            self._observe_total(result)
+            results[position] = result
+            for follower in followers.get(position, ()):
+                self.metrics.counter("queries.coalesced").increment()
+                finish(follower, replace(
+                    result, cached=True,
+                    latency=time.perf_counter() - start))
+
+        def cached(hit: ServiceResult) -> ServiceResult:
+            return replace(hit, cached=True,
+                           latency=time.perf_counter() - start)
 
         # -- cache probe + intra-batch coalescing -----------------------
         keys: Dict[int, str] = {}
-        unique: List[int] = []
-        followers: Dict[int, List[int]] = {}
+        leaders: List[int] = []
         leader_of: Dict[str, int] = {}
         for position in admitted:
             if self.cache.enabled:
                 stage = time.perf_counter()
                 key = sketch_signature(sketches[position],
                                        kind=cache_kind, parameter=k)
-                hit = self.cache.get(key, version)
+                hit = self.cache.get(key, self.shards.version)
                 self.metrics.histogram("latency.cache").observe(
                     time.perf_counter() - stage)
-                keys[position] = key
                 if hit is not None:
                     self.metrics.counter("queries.cache_hits").increment()
-                    self.metrics.counter("queries.served").increment()
-                    result = replace(hit, cached=True,
-                                     latency=time.perf_counter() - start)
-                    self._observe_total(result)
-                    results[position] = result
+                    finish(position, cached(hit))
                     continue
+                keys[position] = key
                 leader = leader_of.get(key)
                 if leader is not None:
                     followers.setdefault(leader, []).append(position)
                     continue
                 leader_of[key] = position
-            unique.append(position)
-        if not unique:
-            return
+            leaders.append(position)
 
-        # -- shard fan-out: one batched resilient call per shard --------
+        # -- single-flight across requests ------------------------------
+        # A leader whose key another request is computing waits for it
+        # and computes for itself only if the answer is still missing
+        # (the other request degraded, or the deadline ran out).  The
+        # wait comes after this request's own fan-out has released its
+        # flights: a request never waits while holding a flight, so two
+        # requests cannot wait on each other.
+        version = self.shards.version
+        owned: List[Tuple[Tuple[str, int], threading.Event]] = []
+        compute: List[int] = []
+        waiting: List[Tuple[int, threading.Event]] = []
+        with self._inflight_lock:
+            for position in leaders:
+                key = keys.get(position)
+                if key is None:
+                    compute.append(position)
+                    continue
+                flight_key = (key, version)
+                event = self._inflight.get(flight_key)
+                if event is not None:
+                    waiting.append((position, event))
+                    continue
+                event = self._inflight[flight_key] = threading.Event()
+                owned.append((flight_key, event))
+                compute.append(position)
+        try:
+            self._fan_out(sketches, compute, k, tier, budget, keys,
+                          start, finish)
+        finally:
+            with self._inflight_lock:
+                for flight_key, _ in owned:
+                    self._inflight.pop(flight_key, None)
+            for _, event in owned:
+                event.set()
+
+        compute = []
+        for position, event in waiting:
+            event.wait(timeout=budget.remaining()
+                       if budget.bounded else None)
+            hit = self.cache.get(keys[position], self.shards.version)
+            if hit is None:
+                compute.append(position)
+                continue
+            self.metrics.counter("queries.coalesced").increment()
+            finish(position, cached(hit))
+        self._fan_out(sketches, compute, k, tier, budget, keys, start,
+                      finish)
+
+    def _fan_out(self, sketches: List[Shape], positions: List[int],
+                 k: int, tier: str, budget: Deadline,
+                 keys: Dict[int, str], start: float,
+                 finish: Callable[[int, ServiceResult], None]) -> None:
+        """Answer ``positions`` from the shards; ``finish`` each result.
+
+        One resilient task per shard runs the tier's per-sketch op over
+        every miss; per sketch, the surviving shards' answers merge
+        with the failed shards' salvage, fall back to the hash tier
+        when nothing good came back, and fill the cache unless the
+        answer is degraded.
+        """
+        if not positions:
+            return
         stage = time.perf_counter()
-        miss_sketches = [sketches[position] for position in unique]
+        version = self.shards.version
+        misses = [sketches[position] for position in positions]
         shards = self._shard_views()
         shard_by_index = {shard.index: shard for shard in shards}
-        if tier == TIER_ANN:
-            def shard_op(shard):
-                return lambda abort: shard.ann_query_batch(
-                    miss_sketches, k, abort=abort)
-        else:
-            def shard_op(shard):
-                return lambda abort: shard.query_batch(
-                    miss_sketches, k, abort=abort)
-        outcomes = self.pool.map_over(
-            lambda shard: self._resilient_call(
-                shard, budget, shard_op(shard),
-                lambda value, shard=shard: [
-                    self._validate_matches(shard, matches)
-                    for matches, _ in value]),
-            shards)
+        op_name = "ann_query" if tier == TIER_ANN else "query"
+
+        def shard_task(shard: Shard) -> _ShardOutcome:
+            op = getattr(shard, op_name)
+            return self._resilient_call(
+                shard, budget,
+                lambda abort: [op(sketch, k, abort=abort)
+                               for sketch in misses],
+                lambda value: [self._validate_matches(shard, matches)
+                               for matches, _ in value])
+
+        outcomes = self.pool.map_over(shard_task, shards)
         self.metrics.histogram(
             "latency.ann" if tier == TIER_ANN else "latency.envelope"
         ).observe(time.perf_counter() - stage)
@@ -1001,24 +1075,23 @@ class RetrievalService:
         failed_ids = sorted(o.shard_index for o in failed)
         if failed_ids:
             self.metrics.counter("queries.degraded").increment(
-                len(unique))
+                len(positions))
         if tier == TIER_ANN:
             for outcome in survivors:
                 for _, per_stats in outcome.value:
                     self.metrics.histogram("ann.candidates").observe(
                         per_stats.candidates_evaluated)
 
-        # -- per-sketch merge, degradation, caching ---------------------
-        for offset, position in enumerate(unique):
+        for offset, position in enumerate(positions):
+            sketch = misses[offset]
             answers = [o.value[offset] for o in survivors]
             stage = time.perf_counter()
             if tier == TIER_ANN:
                 salvage = self._salvage_failed_ann(
-                    failed, shard_by_index, sketches[position], k,
-                    budget)
+                    failed, shard_by_index, sketch, k, budget)
             else:
                 salvage = self._salvage_failed(failed, shard_by_index,
-                                               sketches[position], k)
+                                               sketch, k)
             merged = merge_topk([matches for matches, _ in answers]
                                 + salvage, k)
             stats = _merge_stats([s for _, s in answers])
@@ -1031,7 +1104,6 @@ class RetrievalService:
             method = "envelope" if tier == TIER_EXACT else "ann"
             if degraded or not good:
                 stage = time.perf_counter()
-                sketch = sketches[position]
                 fallback = merge_topk(self.pool.map_over(
                     lambda shard: self._guarded_hash(shard, sketch, k),
                     shards), k)
@@ -1042,168 +1114,16 @@ class RetrievalService:
                     merged = fallback
                     method = "hashing"
             result = ServiceResult(status=DEGRADED if failed_ids else OK,
-                                   matches=merged,
-                                   method=method, stats=stats,
-                                   degraded=degraded,
+                                   matches=merged, method=method,
+                                   stats=stats, degraded=degraded,
                                    failed_shards=list(failed_ids),
                                    latency=time.perf_counter() - start)
+            # Deadline-truncated and shard-degraded answers would keep
+            # serving the degraded answer after the trouble subsides.
             key = keys.get(position)
             if key is not None and not degraded and not failed_ids:
                 self.cache.put(key, version, result)
-            self.metrics.counter("queries.served").increment()
-            self._observe_total(result)
-            results[position] = result
-            for follower in followers.get(position, ()):
-                dup = replace(result, cached=True,
-                              latency=time.perf_counter() - start)
-                self.metrics.counter("queries.coalesced").increment()
-                self.metrics.counter("queries.served").increment()
-                self._observe_total(dup)
-                results[follower] = dup
-
-    # ------------------------------------------------------------------
-    def _admitted_retrieve(self, sketch: Shape, k: int,
-                           deadline_seconds: Optional[float]
-                           ) -> ServiceResult:
-        start = time.perf_counter()
-        if deadline_seconds is None:
-            deadline_seconds = self.config.deadline
-        budget = Deadline(deadline_seconds)
-
-        # -- tier selection (degradation ladder) ------------------------
-        tier = self._select_tier(budget)
-        self.metrics.counter(f"queries.tier_{tier}").increment()
-        if tier == TIER_HASH:
-            return self._hash_only(sketch, k, budget, start)
-
-        # -- cache probe (with single-flight coalescing) ----------------
-        # ANN answers are cached under their own signature kind: they
-        # are *not* interchangeable with exact answers, so the two
-        # tiers must never alias in the cache.
-        cache_kind = "topk" if tier == TIER_EXACT else "topk-ann"
-        key = None
-        flight = None
-        flight_key = None
-        if self.cache.enabled:
-            stage = time.perf_counter()
-            key = sketch_signature(sketch, kind=cache_kind, parameter=k)
-            hit = self.cache.get(key, self.shards.version)
-            self.metrics.histogram("latency.cache").observe(
-                time.perf_counter() - stage)
-            if hit is not None:
-                self.metrics.counter("queries.cache_hits").increment()
-                self.metrics.counter("queries.served").increment()
-                result = replace(hit, cached=True,
-                                 latency=time.perf_counter() - start)
-                self._observe_total(result)
-                return result
-            flight_key = (key, self.shards.version)
-            with self._inflight_lock:
-                leader_event = self._inflight.get(flight_key)
-                if leader_event is None:
-                    flight = threading.Event()
-                    self._inflight[flight_key] = flight
-            if flight is None and leader_event is not None:
-                # Follower: an identical query is already being
-                # computed — wait for it (within our own deadline) and
-                # take its cached answer instead of repeating the work.
-                leader_event.wait(timeout=budget.remaining()
-                                  if budget.bounded else None)
-                hit = self.cache.get(key, self.shards.version)
-                if hit is not None:
-                    self.metrics.counter("queries.coalesced").increment()
-                    self.metrics.counter("queries.served").increment()
-                    result = replace(hit, cached=True,
-                                     latency=time.perf_counter() - start)
-                    self._observe_total(result)
-                    return result
-                # Leader failed to cache (degraded) or we timed out:
-                # fall through and compute for ourselves.
-
-        try:
-            return self._compute(sketch, k, budget, key, start, tier)
-        finally:
-            if flight is not None:
-                with self._inflight_lock:
-                    self._inflight.pop(flight_key, None)
-                flight.set()
-
-    def _compute(self, sketch: Shape, k: int, budget: Deadline,
-                 key: Optional[str], start: float,
-                 tier: str = TIER_EXACT) -> ServiceResult:
-        # -- shard fan-out (selected tier, isolated per shard) ----------
-        stage = time.perf_counter()
-        version = self.shards.version
-        shards = self._shard_views()
-        shard_by_index = {shard.index: shard for shard in shards}
-        if tier == TIER_ANN:
-            def shard_op(shard):
-                return lambda abort: shard.ann_query(sketch, k,
-                                                     abort=abort)
-        else:
-            def shard_op(shard):
-                return lambda abort: shard.query(sketch, k, abort=abort)
-        outcomes = self.pool.map_over(
-            lambda shard: self._resilient_call(
-                shard, budget, shard_op(shard),
-                lambda value, shard=shard: self._validate_matches(
-                    shard, value[0])),
-            shards)
-        self.metrics.histogram(
-            "latency.ann" if tier == TIER_ANN else "latency.envelope"
-        ).observe(time.perf_counter() - stage)
-        survivors = [o for o in outcomes if not o.failed]
-        failed = [o for o in outcomes if o.failed]
-        failed_ids = sorted(o.shard_index for o in failed)
-        if failed_ids:
-            self.metrics.counter("queries.degraded").increment()
-        if tier == TIER_ANN:
-            for outcome in survivors:
-                self.metrics.histogram("ann.candidates").observe(
-                    outcome.value[1].candidates_evaluated)
-
-        # -- merge (plus salvage for failed shards) ---------------------
-        stage = time.perf_counter()
-        if tier == TIER_ANN:
-            salvage = self._salvage_failed_ann(failed, shard_by_index,
-                                               sketch, k, budget)
-        else:
-            salvage = self._salvage_failed(failed, shard_by_index,
-                                           sketch, k)
-        merged = merge_topk([o.value[0] for o in survivors] + salvage, k)
-        stats = _merge_stats([o.value[1] for o in survivors])
-        self.metrics.histogram("latency.merge").observe(
-            time.perf_counter() - stage)
-
-        # -- degradation decision ---------------------------------------
-        degraded = budget.bounded and budget.expired() and stats.exhausted
-        good = [m for m in merged
-                if m.distance <= self.config.match_threshold]
-        method = "envelope" if tier == TIER_EXACT else "ann"
-        if degraded or not good:
-            stage = time.perf_counter()
-            fallback = merge_topk(self.pool.map_over(
-                lambda shard: self._guarded_hash(shard, sketch, k),
-                shards), k)
-            self.metrics.histogram("latency.fallback").observe(
-                time.perf_counter() - stage)
-            self.metrics.counter("queries.fallback").increment()
-            if fallback:
-                merged = fallback
-                method = "hashing"
-
-        result = ServiceResult(status=DEGRADED if failed_ids else OK,
-                               matches=merged, method=method,
-                               stats=stats, degraded=degraded,
-                               failed_shards=list(failed_ids),
-                               latency=time.perf_counter() - start)
-        # Deadline-truncated and shard-degraded answers would keep
-        # serving the degraded answer after the trouble subsides.
-        if key is not None and not degraded and not failed_ids:
-            self.cache.put(key, version, result)
-        self.metrics.counter("queries.served").increment()
-        self._observe_total(result)
-        return result
+            finish(position, result)
 
     def _observe_total(self, result: ServiceResult) -> None:
         self.metrics.histogram("latency.total").observe(result.latency)

@@ -300,23 +300,6 @@ class Shard:
         """Envelope-matcher top-k within this shard."""
         return self.matcher.query(sketch, k=k, abort=abort)
 
-    def query_batch(self, sketches: Sequence[Shape], k: int,
-                    abort: Optional[Callable[[], bool]] = None
-                    ) -> List[Tuple[List[Match], MatchStats]]:
-        """Envelope-matcher top-k for many sketches in one call.
-
-        Delegates to the matcher's amortized multi-query path (one
-        scratch checkout for the whole batch); results are in input
-        order and identical to per-sketch :meth:`query` calls.
-        """
-        return self.matcher.query_batch(sketches, k=k, abort=abort)
-
-    def query_threshold(self, sketch: Shape, threshold: float,
-                        abort: Optional[Callable[[], bool]] = None
-                        ) -> Tuple[List[Match], MatchStats]:
-        """All shard shapes within ``threshold`` of the sketch."""
-        return self.matcher.query_threshold(sketch, threshold, abort=abort)
-
     def query_threshold_batch(self, sketches: Sequence[Shape],
                               threshold: float,
                               abort: Optional[Callable[[], bool]] = None
@@ -325,7 +308,7 @@ class Shard:
 
         The algebra engine's ``similar`` leaves arrive through this
         path; results are in input order and identical to per-sketch
-        :meth:`query_threshold` calls.
+        matcher ``query_threshold`` calls.
         """
         return self.matcher.query_threshold_batch(sketches, threshold,
                                                   abort=abort)
@@ -335,12 +318,6 @@ class Shard:
                   ) -> Tuple[List[Match], MatchStats]:
         """LSH-pruned exact top-k within this shard (middle tier)."""
         return self.ann.query(sketch, k=k, abort=abort)
-
-    def ann_query_batch(self, sketches: Sequence[Shape], k: int,
-                        abort: Optional[Callable[[], bool]] = None
-                        ) -> List[Tuple[List[Match], MatchStats]]:
-        """LSH-pruned top-k for many sketches in one call."""
-        return self.ann.query_batch(sketches, k=k, abort=abort)
 
     def hash_query(self, sketch: Shape, k: int) -> List[Match]:
         """Hashing-fallback top-k within this shard."""

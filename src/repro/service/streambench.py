@@ -45,9 +45,10 @@ import numpy as np
 from ..core.shapebase import ShapeBase
 from ..geometry.polyline import Shape
 from ..imaging.synthesis import generate_workload, make_query_set
+from .metrics import percentile
 from .service import RetrievalService, ServiceConfig
 
-__all__ = ["run_stream_scenario", "pctl", "STREAM_TRAJECTORY_HEADER"]
+__all__ = ["run_stream_scenario", "STREAM_TRAJECTORY_HEADER"]
 
 #: Header seeded into ``BENCH_stream.json`` on first write (the
 #: ``record_trajectory`` protocol shared with the other BENCH files).
@@ -70,17 +71,6 @@ STREAM_TRAJECTORY_HEADER = {
         "when REPRO_BENCH_LABEL is set (the CI stream-smoke job does "
         "this on every run)."),
 }
-
-
-def pctl(sorted_values: Sequence[float], q: float) -> float:
-    """Interpolated percentile of an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    position = (len(sorted_values) - 1) * (q / 100.0)
-    lo = int(position)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = position - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
 def _collect_corpus(shards):
@@ -156,9 +146,8 @@ def run_stream_scenario(
     workload = generate_workload(images, rng, shapes_per_image=4.0,
                                  noise=0.01)
     base = ShapeBase(alpha=0.1)
-    for image in workload.images:
-        for shape in image.shapes:
-            base.add_shape(shape, image_id=image.image_id)
+    base.add_shapes(workload.all_shapes(),
+                    image_ids=workload.image_ids())
     sketches = [query for query, _ in
                 make_query_set(workload, distinct,
                                np.random.default_rng(seed + 1),
@@ -249,8 +238,8 @@ def run_stream_scenario(
 
         # -- phase 1: idle baseline ------------------------------------
         idle = run_clients(queries_target=queries)
-        idle_p50 = pctl(idle, 50.0)
-        idle_p99 = pctl(idle, 99.0)
+        idle_p50 = percentile(idle, 50.0)
+        idle_p99 = percentile(idle, 99.0)
 
         # -- phase 2: streaming ingest under query load ----------------
         ingested = {"shapes": 0, "batches": 0}
@@ -311,16 +300,16 @@ def run_stream_scenario(
             checkpoint()
             first = last
         stream.sort()
-        stream_p50 = pctl(stream, 50.0)
-        stream_p99 = pctl(stream, 99.0)
+        stream_p50 = percentile(stream, 50.0)
+        stream_p99 = percentile(stream, 99.0)
 
         # -- phase 3: idle baseline on the grown corpus ----------------
         # The last checkpoint left the service quiesced, so this
         # measures the same corpus the late-stream (p99-dominating)
         # queries saw, minus the concurrent ingest.
         final_idle = run_clients(queries_target=queries)
-        final_idle_p50 = pctl(final_idle, 50.0)
-        final_idle_p99 = pctl(final_idle, 99.0)
+        final_idle_p50 = percentile(final_idle, 50.0)
+        final_idle_p99 = percentile(final_idle, 99.0)
 
         snap = service.snapshot()
         ingest_stats = snap["ingest"]

@@ -280,6 +280,18 @@ class TestHttpServer:
         status, _, _ = request(server.address, "GET", "/nowhere")
         assert status == 404
 
+    @pytest.mark.parametrize("path", ["/query", "/query_batch"])
+    @pytest.mark.parametrize("k", [0, -3, 2.7, True, "3"])
+    def test_bad_k_gets_400_on_both_endpoints(self, server, corpus,
+                                              path, k):
+        _, queries = corpus
+        sketch = shape_to_dict(queries[0])
+        body = {"sketch": sketch, "k": k} if path == "/query" \
+            else {"sketches": [sketch], "k": k}
+        status, _, payload = request(server.address, "POST", path, body)
+        assert status == 400
+        assert "k must be" in payload["error"]
+
     def test_stats_surface(self, server, corpus):
         _, queries = corpus
         request(server.address, "POST", "/query",

@@ -20,8 +20,8 @@ from repro.geosir import GeoSIR
 from repro.imaging import generate_workload, make_query_set
 from repro.service import (AdmissionQueue, Deadline, MetricsRegistry,
                            QueryResultCache, RetrievalService,
-                           ServiceConfig, ShardSet, merge_topk, shard_for,
-                           sketch_signature)
+                           ServiceConfig, Shard, ShardSet, merge_topk,
+                           shard_for, sketch_signature)
 from repro.storage import BlockDevice, BufferPool
 
 
@@ -269,6 +269,109 @@ class TestQueryCache:
             saved = counters.get("queries.cache_hits", 0) + \
                 counters.get("queries.coalesced", 0)
             assert saved >= 1        # at least one client skipped the work
+
+    def test_batch_joins_another_requests_flight(self, corpus,
+                                                 monkeypatch):
+        """A batch sketch already in flight takes the leader's answer.
+
+        The leader's shard calls are held until the batch has passed
+        its single-flight registration (proved by the batch's own miss
+        reaching a shard), so the batch must find the flight, not a
+        cache entry.
+        """
+        base, _, queries = corpus
+        lead, other = queries[2], queries[3]
+        leader_in_shard = threading.Event()
+        batch_registered = threading.Event()
+        lead_calls = []
+        original = Shard.query
+
+        def gated(self, sketch, k, abort=None):
+            if sketch is lead:
+                lead_calls.append(self.index)
+                leader_in_shard.set()
+                batch_registered.wait(timeout=10.0)
+            elif sketch is other:
+                batch_registered.set()
+            return original(self, sketch, k, abort=abort)
+
+        monkeypatch.setattr(Shard, "query", gated)
+        with RetrievalService.from_base(
+                base, ServiceConfig(num_shards=2, workers=4)) as svc:
+            answers = {}
+            leader = threading.Thread(target=lambda: answers.update(
+                leader=svc.retrieve(lead, k=2)))
+            leader.start()
+            assert leader_in_shard.wait(timeout=10.0)
+            batch = svc.retrieve_batch([other, lead], k=2)
+            leader.join()
+            counters = svc.snapshot()["counters"]
+        assert batch[1].cached
+        assert ranked(batch[1].matches) == \
+            ranked(answers["leader"].matches)
+        assert not batch[0].cached
+        assert counters["queries.coalesced"] == 1
+        assert sorted(lead_calls) == [0, 1]    # computed once per shard
+
+    def test_overlapping_batches_all_complete(self, corpus):
+        """Concurrent batches over shared sketches in rotated orders
+        neither deadlock on each other's flights nor change answers."""
+        base, _, queries = corpus
+        sketches = queries[:3]
+        with RetrievalService.from_base(
+                base, ServiceConfig(num_shards=2, workers=4)) as svc:
+            barrier = threading.Barrier(4)
+            answers = {}
+
+            def fire(shift):
+                barrier.wait()
+                order = sketches[shift:] + sketches[:shift]
+                answers[shift] = svc.retrieve_batch(order, k=2)
+
+            clients = [threading.Thread(target=fire, args=(i % 3,))
+                       for i in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in clients)
+            want = [ranked(svc.retrieve(s, k=2).matches) for s in sketches]
+        for shift, results in answers.items():
+            got = [ranked(r.matches) for r in results]
+            assert got == want[shift:] + want[:shift]
+
+
+# ----------------------------------------------------------------------
+# k validation at the single entry
+# ----------------------------------------------------------------------
+BAD_K = [0, -3, 2.7, True, "3"]
+
+
+class TestKValidation:
+    @pytest.mark.parametrize("k", BAD_K)
+    def test_bad_k_rejected_before_admission(self, service, corpus, k):
+        _, _, queries = corpus
+        before = service.snapshot()["counters"].get("queries.total", 0)
+        with pytest.raises(ValueError, match="k must be"):
+            service.retrieve(queries[0], k=k)
+        with pytest.raises(ValueError, match="k must be"):
+            service.retrieve_batch(queries[:2], k=k)
+        assert service.snapshot()["counters"].get("queries.total", 0) \
+            == before
+        assert service.admission.pending == 0
+
+    def test_bad_k_burst_leaves_breakers_closed(self, corpus):
+        base, _, queries = corpus
+        with RetrievalService.from_base(
+                base, ServiceConfig(num_shards=2, workers=1)) as svc:
+            for _ in range(10):
+                with pytest.raises(ValueError):
+                    svc.retrieve_batch([queries[0]], k=0)
+            result = svc.retrieve(queries[0], k=1)
+            breakers = svc.snapshot()["breakers"]
+        assert result.ok and not result.failed_shards
+        assert len(breakers) == 2
+        assert all(b["state"] == "closed" for b in breakers.values())
 
 
 # ----------------------------------------------------------------------
