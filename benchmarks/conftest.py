@@ -50,9 +50,8 @@ def workload(bench_rng):
 @pytest.fixture(scope="session")
 def base(workload):
     shape_base = ShapeBase(alpha=0.1)
-    for image in workload.images:
-        for shape in image.shapes:
-            shape_base.add_shape(shape, image_id=image.image_id)
+    shape_base.add_shapes(workload.all_shapes(),
+                          image_ids=workload.image_ids())
     shape_base.index            # force the build outside timed regions
     return shape_base
 

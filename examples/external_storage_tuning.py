@@ -21,9 +21,7 @@ def main() -> None:
     workload = generate_workload(40, rng, shapes_per_image=5.5,
                                  noise=0.01)
     base = ShapeBase(alpha=0.1)
-    for image in workload.images:
-        for shape in image.shapes:
-            base.add_shape(shape, image_id=image.image_id)
+    base.add_shapes(workload.all_shapes(), image_ids=workload.image_ids())
     signatures = compute_signatures(base, HashCurveFamily(50))
     print(f"base: {base.num_entries} normalized copies")
 

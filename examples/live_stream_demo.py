@@ -51,8 +51,8 @@ def act_two(rng, panel, clips) -> None:
     from repro import ShapeBase
     seed_count = sum(1 for _, image_id in flat if image_id < 100)
     base = ShapeBase(alpha=0.08)
-    for shape, image_id in flat[:seed_count]:
-        base.add_shape(shape, image_id=image_id)
+    seed_shapes, seed_images = zip(*flat[:seed_count])
+    base.add_shapes(list(seed_shapes), image_ids=list(seed_images))
 
     config = ServiceConfig(num_shards=2, workers=2, cache_capacity=0,
                            streaming=True)

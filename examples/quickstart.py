@@ -23,11 +23,9 @@ def main() -> None:
     #    alpha-diameters and stored in several canonical copies
     #    (Section 2.4 of the paper).
     base = ShapeBase(alpha=0.1)
-    shapes = []
-    for image_id in range(25):
-        shape = make_random_shape(rng, int(rng.integers(10, 22)))
-        shapes.append(shape)
-        base.add_shape(shape, image_id=image_id)
+    shapes = [make_random_shape(rng, int(rng.integers(10, 22)))
+              for _ in range(25)]
+    base.add_shapes(shapes, image_ids=list(range(len(shapes))))
     print(f"base: {base.num_shapes} shapes -> {base.num_entries} "
           f"normalized copies, {base.total_vertices} indexed vertices")
 

@@ -37,11 +37,9 @@ def main() -> None:
 
     # 1. A base of 30 shapes, served through 4 shards and 2 workers.
     base = ShapeBase(alpha=0.1)
-    shapes = []
-    for image_id in range(30):
-        shape = make_random_shape(rng, int(rng.integers(10, 20)))
-        shapes.append(shape)
-        base.add_shape(shape, image_id=image_id)
+    shapes = [make_random_shape(rng, int(rng.integers(10, 20)))
+              for _ in range(30)]
+    base.add_shapes(shapes, image_ids=list(range(len(shapes))))
 
     config = ServiceConfig(num_shards=4, workers=2, cache_capacity=128)
     with RetrievalService.from_base(base, config) as service:

@@ -28,8 +28,8 @@ one shape (extra shapes are ignored with a warning).  ``serve-bench``
 drives the :mod:`repro.service` tier with a closed-loop load generator
 and reports throughput, latency percentiles and the service metrics.
 ``--processes N[,N...]`` adds process-execution sweeps: shard workers
-run as separate processes attached zero-copy to published snapshots
-(mmap'd files or shared memory), sidestepping the GIL; the run ends
+run as separate processes attached zero-copy to published snapshot
+files (mmap'd), sidestepping the GIL; the run ends
 with a thread-vs-process answer verification pass, and ``--chaos``
 SIGKILLs one worker mid-bench to prove degraded-not-failed service.
 

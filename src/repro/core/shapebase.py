@@ -38,11 +38,17 @@ def validate_shape(shape: Shape) -> None:
         raise ValueError(
             f"shape vertices must be an (n, 2) array, "
             f"got shape {vertices.shape}")
-    if not np.all(np.isfinite(vertices)):
-        raise ValueError("shape contains NaN or infinite coordinates")
+    check_finite(vertices)
     if not _has_three_distinct(vertices):
         raise ValueError(
             "shape must have at least 3 distinct vertices")
+
+
+def check_finite(vertices: np.ndarray) -> None:
+    """Reject NaN or infinite coordinates (ingested shapes and query
+    sketches alike)."""
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("shape contains NaN or infinite coordinates")
 
 
 def _has_three_distinct(vertices: np.ndarray) -> bool:
@@ -140,10 +146,9 @@ class ShapeBase:
         self._sketch_cache: Optional[
             Tuple[Tuple[int, int, int], np.ndarray]] = None
         # How this base's arrays are backed: "memory" (built in
-        # process), "eager" (snapshot read into memory), "mmap"
-        # (zero-copy views over a file mapping) or "shm" (views over a
-        # shared-memory segment).  ``_backing_buffer`` pins the
-        # mapping/segment for the life of the base.
+        # process), "eager" (snapshot read into memory) or "mmap"
+        # (zero-copy views over a file mapping).  ``_backing_buffer``
+        # pins the mapping for the life of the base.
         self.snapshot_backing = "memory"
         self._backing_buffer = None
 

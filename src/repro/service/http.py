@@ -74,7 +74,7 @@ from .cache import sketch_signature
 from .deadline import Deadline
 from .metrics import MetricsRegistry
 from .service import OVERLOADED, RetrievalService, ServiceConfig, \
-    ServiceResult, check_k
+    ServiceResult, check_k, check_sketch
 
 #: Remaining-budget request header (milliseconds, relative).
 DEADLINE_HEADER = "X-Deadline-Ms"
@@ -255,7 +255,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         sketch = shape_from_dict(body["sketch"])
         k = body.get("k", 1)
-        check_k(k)      # before the ETag match: no 304 for a bad k
+        # Before the ETag match: no 304 for a bad k or sketch.
+        check_k(k)
+        check_sketch(sketch)
 
         etag = query_etag(app.service.shards.version, sketch, k)
         candidates = self.headers.get("If-None-Match", "")
@@ -511,26 +513,25 @@ class ReplicaSet:
     def __init__(self, snapshot_path, replicas: int = 2,
                  config: Optional[ServiceConfig] = None,
                  host: str = "127.0.0.1", *,
-                 start_method: Optional[str] = None,
                  allow_admin: bool = False,
                  startup_timeout: float = 120.0):
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
         import multiprocessing
-        import os
-        import sys
         import tempfile
+        from .procpool import default_start_method
         self.snapshot_path = str(snapshot_path)
         self.replicas = int(replicas)
         # Fault plans hold locks (unpicklable) and belong to chaos
         # harnesses in the parent; replicas serve clean.
         config = config or ServiceConfig()
         self.config = replace(config, fault_plan=None)
-        # Process-execution replicas publish shards for their workers.
-        # Route that through files we own instead of shm segments: a
-        # SIGKILLed replica cannot release its segments, but files in
-        # this directory are swept by stop() regardless of how the
-        # replica died.
+        # Process-execution replicas publish shard files for their
+        # workers.  Give them a directory this parent owns instead of
+        # letting each replica's pool create a private one: a
+        # SIGKILLed replica never runs its pool's shutdown, but this
+        # directory is swept by stop() regardless of how the replica
+        # died.
         self._publish_tmp = None
         if self.config.execution == "process" and \
                 self.config.snapshot_dir is None:
@@ -541,10 +542,7 @@ class ReplicaSet:
         self.host = host
         self.allow_admin = allow_admin
         self.startup_timeout = float(startup_timeout)
-        if start_method is None:
-            start_method = os.environ.get("REPRO_PROCPOOL_START") or \
-                ("fork" if sys.platform.startswith("linux") else "spawn")
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._members: List[_Replica] = []
         self._lock = threading.Lock()
         self._closed = False

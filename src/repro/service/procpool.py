@@ -7,19 +7,18 @@ decision (admission, cache, retries, breakers, merge, degradation
 ladder) in the parent.  The design follows the one-writer /
 many-searcher model of production retrieval engines:
 
-* **Publish.**  The parent serializes each shard's base to the v3/v4
-  columnar snapshot format — to per-shard files under ``publish_dir``
-  when one is configured, otherwise into
-  :mod:`multiprocessing.shared_memory` segments — and hands workers
-  nothing but small *attach specs* (a path or a segment name plus a
-  byte count).
-* **Attach.**  Every worker maps every shard zero-copy:
-  :func:`~repro.storage.persist.load_base` with ``mmap=True`` for
-  files (the kernel page cache backs all workers with one physical
-  copy) or :func:`~repro.storage.persist.load_base_buffer` over the
-  shared segment.  A mutation in the parent bumps the shard-set
-  version; :meth:`ProcessWorkerPool.sync` republishes and workers
-  re-attach, so serving state converges without restarts.
+* **Publish.**  The parent writes each shard's base as a v3/v4
+  columnar snapshot file — under ``publish_dir`` when one is given,
+  otherwise in a private directory the pool creates (on tmpfs where
+  ``/dev/shm`` is writable) and removes on shutdown — and hands
+  workers nothing but small *attach specs* (shard index, path).
+* **Attach.**  Every worker maps every shard zero-copy with
+  :func:`~repro.storage.persist.load_base` and ``mmap=True``: the
+  kernel page cache backs all workers with one physical copy.  A
+  mutation in the parent bumps the shard-set version;
+  :meth:`ProcessWorkerPool.sync` republishes (or ships append deltas)
+  and workers re-attach, so serving state converges without
+  restarts.
 * **Dispatch.**  :class:`ProcessShardView` is a shard-shaped proxy:
   matcher/ANN operations become pickle-light task envelopes (query
   vertex arrays + parameters in, top-k id/score arrays out) sent over
@@ -45,11 +44,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 import threading
 import time
 import weakref
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -150,80 +150,34 @@ def _stats_from_wire(wire: Dict[str, Any]) -> MatchStats:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _attach_base(spec: Dict[str, Any]):
-    """Load one shard base zero-copy from its attach spec.
+def default_start_method() -> str:
+    """``fork`` on Linux (workers inherit the parent's imports),
+    ``spawn`` elsewhere."""
+    return "fork" if sys.platform.startswith("linux") else "spawn"
 
-    Returns ``(base, keepalive)`` — ``keepalive`` holds whatever must
-    outlive the base's array views (the shared-memory segment).
+
+def _private_publish_dir() -> str:
+    """A fresh ``repro-publish-*`` directory for snapshot files.
+
+    Placed on tmpfs (``/dev/shm``) when that is a writable directory,
+    so publishing never touches a disk; otherwise in the platform's
+    temp directory.
     """
-    from ..storage.persist import load_base, load_base_buffer
-    backend = spec.get("backend", "kdtree")
-    if spec["kind"] == "file":
-        base = load_base(spec["path"], backend=backend, mmap=True)
-        return base, None
-    if spec["kind"] == "shm":
-        from multiprocessing import resource_tracker, shared_memory
-        # Attaching would register the segment with the resource
-        # tracker (track=False lands only in 3.13+): the tracker would
-        # then unlink a segment the parent still owns when this worker
-        # exits, while an unregister-after-attach erases the *parent's*
-        # registration instead (one shared tracker, set semantics).
-        # Suppress registration around the attach; the parent is the
-        # single owner.
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
-        try:
-            segment = shared_memory.SharedMemory(name=spec["name"])
-        finally:
-            resource_tracker.register = original_register
-        # Segments are page-rounded: slice to the payload size or the
-        # snapshot's body-length check sees trailing garbage.
-        view = memoryview(segment.buf)[:spec["size"]]
-        base = load_base_buffer(view, backend=backend, backing="shm")
-        return base, (segment, view)
-    raise ValueError(f"unknown attach spec kind {spec['kind']!r}")
+    tmpfs = "/dev/shm"
+    root = tmpfs if os.path.isdir(tmpfs) and os.access(tmpfs, os.W_OK) \
+        else None
+    return tempfile.mkdtemp(prefix="repro-publish-", dir=root)
 
 
-def _release_attachments(shards: Dict[int, Shard],
-                         keepalive: Dict[int, Any]) -> None:
-    """Tear down attached bases in dependency order.
-
-    The base's arrays are views over the segment buffer; they must be
-    collected before the memoryview is released and the segment
-    closed, or ``SharedMemory.__del__`` trips over exported pointers
-    at an arbitrary later GC point (noisy, though harmless).
-    """
-    import gc
-    shards.clear()
-    gc.collect()
-    for keep in keepalive.values():
-        if keep is None:
-            continue
-        segment, view = keep
-        try:
-            view.release()
-            segment.close()
-        except BufferError:     # a view is still referenced somewhere
-            pass
-    keepalive.clear()
-
-
-def _build_attachments(specs: Sequence[Dict[str, Any]],
-                       params: Dict[str, Any]
-                       ) -> Tuple[Dict[int, Shard], Dict[int, Any]]:
-    """Attach + warm every published shard (runs inside the worker).
-
-    A separate function so no local reference to a shard or its base
-    outlives the attach round — :func:`_release_attachments` relies on
-    the bases being collectable before it releases the buffers their
-    arrays view.
-    """
-    fresh: Dict[int, Shard] = {}
-    fresh_keep: Dict[int, Any] = {}
+def _attach(specs: Sequence[Dict[str, Any]],
+            params: Dict[str, Any]) -> Dict[int, Shard]:
+    """Map + warm every published shard (runs inside the worker)."""
+    from ..storage.persist import load_base
+    shards: Dict[int, Shard] = {}
     for spec in specs:
-        index = spec["index"]
-        base, keep = _attach_base(spec)
-        shard = Shard(index, base, beta=params["beta"],
+        base = load_base(spec["path"], backend=spec["backend"],
+                         mmap=True)
+        shard = Shard(spec["index"], base, beta=params["beta"],
                       hash_curves=params["hash_curves"],
                       neighbor_radius=params["neighbor_radius"],
                       ann=params["ann"])
@@ -234,9 +188,8 @@ def _build_attachments(specs: Sequence[Dict[str, Any]],
         shard.matcher
         if params["ann"] is not None:
             shard.ann
-        fresh[index] = shard
-        fresh_keep[index] = keep
-    return fresh, fresh_keep
+        shards[spec["index"]] = shard
+    return shards
 
 
 def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
@@ -247,7 +200,6 @@ def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
     requests it already abandoned (timed-out attempts).
     """
     shards: Dict[int, Shard] = {}
-    keepalive: Dict[int, Any] = {}
     parent = os.getppid()
     while True:
         try:
@@ -258,25 +210,17 @@ def _worker_main(conn, worker_index: int, params: Dict[str, Any]) -> None:
             # with a timeout and watch for reparenting explicitly.
             while not conn.poll(2.0):
                 if os.getppid() != parent:
-                    _release_attachments(shards, keepalive)
                     return
             message = conn.recv()
         except (EOFError, OSError):
-            _release_attachments(shards, keepalive)
             return
         kind = message[0]
         if kind == "stop":
-            _release_attachments(shards, keepalive)
             return
         req_id = message[1]
         try:
             if kind == "attach":
-                fresh, fresh_keep = _build_attachments(message[2],
-                                                       params)
-                stale, stale_keep = shards, keepalive
-                shards, keepalive = fresh, fresh_keep
-                del fresh, fresh_keep
-                _release_attachments(stale, stale_keep)
+                shards = _attach(message[2], params)
                 conn.send((req_id, "ok", {
                     "worker": worker_index,
                     "pid": os.getpid(),
@@ -391,32 +335,6 @@ class _Worker:
         return self.alive and self.process.is_alive()
 
 
-class _Publication:
-    """One published shard snapshot (file or shared-memory segment)."""
-
-    __slots__ = ("spec", "_segment", "_path")
-
-    def __init__(self, spec, segment=None, path=None):
-        self.spec = spec
-        self._segment = segment
-        self._path = path
-
-    def release(self) -> None:
-        if self._segment is not None:
-            try:
-                self._segment.close()
-                self._segment.unlink()
-            except Exception:
-                pass
-            self._segment = None
-        if self._path is not None:
-            try:
-                os.unlink(self._path)
-            except OSError:
-                pass
-            self._path = None
-
-
 class ProcessWorkerPool(WorkerPool):
     """A :class:`WorkerPool` whose shard work runs in worker processes.
 
@@ -426,16 +344,15 @@ class ProcessWorkerPool(WorkerPool):
     worker process that owns the shard (``shard_index % processes``)
     instead of running the matcher under the parent's GIL.
 
-    ``publish_dir`` selects the publish transport: a directory means
-    per-shard snapshot *files* that workers mmap (zero-copy through
-    the kernel page cache, survives for post-mortem inspection);
-    ``None`` means anonymous :mod:`multiprocessing.shared_memory`
-    segments (snapshotless bases, nothing touches the filesystem).
+    Shards are published as per-shard snapshot files that workers
+    mmap (zero-copy through the kernel page cache).  ``publish_dir``
+    names the directory for them; ``None`` makes the pool create a
+    private one (see :func:`_private_publish_dir`) that
+    :meth:`shutdown` removes.
     """
 
     def __init__(self, processes: int = 2, workers: Optional[int] = None,
                  publish_dir: Optional[str] = None,
-                 start_method: Optional[str] = None,
                  backend: str = "kdtree", beta: float = 0.25,
                  hash_curves: int = 50, neighbor_radius: int = 1,
                  ann=None, compact_every: int = 16):
@@ -448,15 +365,18 @@ class ProcessWorkerPool(WorkerPool):
         super().__init__(workers=max(processes,
                                      workers if workers else 1))
         self.processes = int(processes)
+        self._remove_publish_dir = None
+        if publish_dir is None:
+            publish_dir = _private_publish_dir()
+            # Runs in shutdown(), or at collection / interpreter exit
+            # for a pool that is never shut down.
+            self._remove_publish_dir = weakref.finalize(
+                self, shutil.rmtree, publish_dir, ignore_errors=True)
         self.publish_dir = publish_dir
-        if start_method is None:
-            start_method = os.environ.get("REPRO_PROCPOOL_START") or \
-                ("fork" if sys.platform.startswith("linux") else "spawn")
-        self.start_method = start_method
         self._params = {"backend": backend, "beta": beta,
                         "hash_curves": hash_curves,
                         "neighbor_radius": neighbor_radius, "ann": ann}
-        self._ctx = multiprocessing.get_context(self.start_method)
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._proc_workers: List[_Worker] = []
         self._req_counter = 0
         self._req_lock = threading.Lock()
@@ -470,7 +390,8 @@ class ProcessWorkerPool(WorkerPool):
         self._synced_set: Optional["weakref.ref"] = None
         self._synced_version: Optional[int] = None
         self._publish_round = 0
-        self._publications: List[_Publication] = []
+        # Paths of the installed round's snapshot files.
+        self._published: List[str] = []
         # Delta-publication state: per shard index, the (mutation-log
         # cursor, shape count, entry count) the workers hold — the
         # prior state the next delta is cut against.  ``None`` forces
@@ -506,34 +427,23 @@ class ProcessWorkerPool(WorkerPool):
 
     # -- publishing -----------------------------------------------------
     def _publish_shard(self, shard: Shard, version: int,
-                       round_id: int) -> _Publication:
-        from ..storage.persist import encode_base, save_base
+                       round_id: int) -> str:
+        """Write one shard's snapshot file; returns its path."""
+        from ..storage.persist import save_base
         ann = self._params["ann"]
         sketch = ann.sketch if ann is not None else None
-        spec: Dict[str, Any] = {"index": shard.index,
-                                "backend": shard.base.backend}
-        if self.publish_dir is not None:
-            directory = Path(self.publish_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            # The round id keeps paths unique across shard-set swaps:
-            # a reloaded set restarts its version counter, and reusing
-            # a live publication's path would let the stale-release
-            # below unlink the file just published.
-            path = directory / (f"shard-{shard.index:02d}"
-                                f"-v{version:08d}"
-                                f"-r{round_id:04d}.gsb")
-            save_base(shard.base, path,
-                      version=4 if sketch is not None else 3,
-                      ann_sketch=sketch)
-            spec.update(kind="file", path=str(path))
-            return _Publication(spec, path=str(path))
-        from multiprocessing import shared_memory
-        payload = encode_base(shard.base, ann_sketch=sketch)
-        segment = shared_memory.SharedMemory(create=True,
-                                             size=len(payload))
-        segment.buf[:len(payload)] = payload
-        spec.update(kind="shm", name=segment.name, size=len(payload))
-        return _Publication(spec, segment=segment)
+        os.makedirs(self.publish_dir, exist_ok=True)
+        # The round id keeps paths unique across shard-set swaps: a
+        # reloaded set restarts its version counter, and reusing a
+        # live file's path would let the stale-release below unlink
+        # the file just published.
+        path = os.path.join(self.publish_dir,
+                            f"shard-{shard.index:02d}-v{version:08d}"
+                            f"-r{round_id:04d}.gsb")
+        save_base(shard.base, path,
+                  version=4 if sketch is not None else 3,
+                  ann_sketch=sketch)
+        return path
 
     def sync(self, shard_set: ShardSet, force: bool = False) -> bool:
         """Converge every live worker onto the shard set's current state.
@@ -633,7 +543,7 @@ class ProcessWorkerPool(WorkerPool):
 
     def _full_sync(self, shard_set: ShardSet, version: int) -> bool:
         """Publish every shard and (re-)attach every live worker."""
-        publications: List[_Publication] = []
+        specs: List[Dict[str, Any]] = []
         state: Dict[int, Tuple[int, int, int]] = {}
         installed = False
         self._publish_round += 1
@@ -643,13 +553,14 @@ class ProcessWorkerPool(WorkerPool):
                 # encode *and* the cursor capture, so the published
                 # snapshot and the delta baseline agree exactly.
                 with shard.write_lock:
-                    publications.append(
-                        self._publish_shard(shard, version,
-                                            self._publish_round))
+                    specs.append({"index": shard.index,
+                                  "backend": shard.base.backend,
+                                  "path": self._publish_shard(
+                                      shard, version,
+                                      self._publish_round)})
                     state[shard.index] = (shard.log_seq,
                                           len(shard.base.shapes),
                                           shard.base.num_entries)
-            specs = [pub.spec for pub in publications]
             for worker in self._proc_workers:
                 if not worker.is_alive():
                     continue
@@ -661,35 +572,29 @@ class ProcessWorkerPool(WorkerPool):
                     worker.alive = False
                 except WorkerOperationError:
                     # The worker survived but could not attach
-                    # (missing snapshot file, shm attach failure):
+                    # (missing or unreadable snapshot file):
                     # it still holds the previous corpus and would
                     # silently serve stale answers — take it out
                     # of rotation so its shards degrade instead.
                     worker.alive = False
-            stale, self._publications = (self._publications,
-                                         publications)
+            paths = [spec["path"] for spec in specs]
+            stale, self._published = self._published, paths
             installed = True
             self._synced_set = weakref.ref(shard_set)
             self._synced_version = version
             self._delta_state = state
             self._delta_rounds = 0
-            published = sum(
-                pub.spec.get("size") or
-                (os.path.getsize(pub.spec["path"])
-                 if pub.spec.get("kind") == "file" else 0)
-                for pub in publications)
+            published = sum(os.path.getsize(path) for path in paths)
             stats = self._sync_stats
             stats["full_rounds"] += 1
             stats["full_bytes"] += published
             stats["last_kind"] = "full"
             stats["last_bytes"] = published
-            for publication in stale:
-                publication.release()
+            _unlink_all(stale)
             return True
         finally:
             if not installed:
-                for publication in publications:
-                    publication.release()
+                _unlink_all([spec["path"] for spec in specs])
 
     # -- dispatch -------------------------------------------------------
     def _worker_for(self, shard_index: int) -> _Worker:
@@ -808,9 +713,7 @@ class ProcessWorkerPool(WorkerPool):
     def info(self) -> Dict[str, Any]:
         return {"processes": self.processes,
                 "alive": self.alive_workers(),
-                "start_method": self.start_method,
-                "publish": ("file" if self.publish_dir is not None
-                            else "shm"),
+                "publish": self.publish_dir,
                 "synced_version": self._synced_version,
                 "sync": dict(self._sync_stats),
                 "compact_every": self.compact_every}
@@ -844,15 +747,24 @@ class ProcessWorkerPool(WorkerPool):
             except OSError:
                 pass
             worker.alive = False
-        for publication in self._publications:
-            publication.release()
-        self._publications = []
+        _unlink_all(self._published)
+        self._published = []
+        if self._remove_publish_dir is not None:
+            self._remove_publish_dir()
         super().shutdown()
 
     def __repr__(self) -> str:
         return (f"ProcessWorkerPool(processes={self.processes}, "
                 f"alive={len(self.alive_workers())}, "
-                f"publish={'file' if self.publish_dir else 'shm'})")
+                f"publish={self.publish_dir!r})")
+
+
+def _unlink_all(paths: Sequence[str]) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
 # ----------------------------------------------------------------------

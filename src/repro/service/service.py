@@ -48,7 +48,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ann import AnnConfig
 from ..core.matcher import Match, MatchStats
-from ..core.shapebase import ShapeBase
+from ..core.shapebase import ShapeBase, check_finite
 from ..geometry.polyline import Shape
 from .breaker import BreakerConfig, CircuitBreaker
 from .cache import QueryResultCache, sketch_signature
@@ -140,14 +140,10 @@ class ServiceConfig:
     #: snapshots (see :mod:`repro.service.procpool`).
     execution: str = "thread"
     processes: int = 2
-    #: Directory for published per-shard snapshot files in process
-    #: mode; ``None`` publishes through anonymous shared-memory
-    #: segments instead (no filesystem traffic).
+    #: Directory for the per-shard snapshot files process workers
+    #: mmap; ``None`` publishes into a private directory the worker
+    #: pool creates (on tmpfs where available) and removes on close.
     snapshot_dir: Optional[str] = None
-    #: ``multiprocessing`` start method for the worker processes;
-    #: ``None`` = ``REPRO_PROCPOOL_START`` env or the platform default
-    #: (``fork`` on linux).
-    start_method: Optional[str] = None
     #: -- streaming write path ---------------------------------------------
     #: ``streaming=True`` moves index folds off the ingest path onto a
     #: background :class:`~repro.service.ingest.FoldScheduler` (queries
@@ -251,6 +247,12 @@ def check_k(k) -> None:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
 
 
+def check_sketch(sketch: Shape) -> None:
+    """Reject a query sketch with NaN or infinite coordinates (the
+    ingest rule of :func:`~repro.core.shapebase.validate_shape`)."""
+    check_finite(sketch.vertices)
+
+
 def _merge_stats(per_shard: Sequence[MatchStats]) -> MatchStats:
     """Aggregate work accounting across shards (sums and flags)."""
     merged = MatchStats()
@@ -290,7 +292,6 @@ class RetrievalService:
                 processes=self.config.processes,
                 workers=self.config.workers,
                 publish_dir=self.config.snapshot_dir,
-                start_method=self.config.start_method,
                 backend=self.config.backend, beta=self.config.beta,
                 hash_curves=self.config.hash_curves,
                 neighbor_radius=self.config.neighbor_radius,
@@ -884,8 +885,9 @@ class RetrievalService:
         """Serve sketches end to end; results come back in input order.
 
         The service's one retrieval path (:meth:`retrieve` is a batch
-        of one).  ``k`` must be an integer >= 1; anything else raises
-        ``ValueError`` before admission, metrics or fan-out.
+        of one).  ``k`` must be an integer >= 1 and every sketch
+        finite; anything else raises ``ValueError`` before admission,
+        metrics or fan-out.
 
         Admission happens at submission time: the bounded queue is the
         backlog, so a batch larger than the remaining slots sheds its
@@ -905,8 +907,10 @@ class RetrievalService:
             raise RuntimeError(
                 "RetrievalService is closed; create a new service")
         check_k(k)
-        self._ensure_processes()
         sketches = list(sketches)
+        for sketch in sketches:
+            check_sketch(sketch)
+        self._ensure_processes()
         results: List[Optional[ServiceResult]] = [None] * len(sketches)
         admitted: List[int] = []
         for position, _ in enumerate(sketches):

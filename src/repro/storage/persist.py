@@ -36,8 +36,8 @@ CRC32 of the body; :func:`load_base` verifies both and raises
 :class:`CorruptSnapshotError` (a :class:`ValueError`) on truncation or
 bit rot instead of loading garbage.
 
-**Backing modes.**  v3/v4 bases can load three ways, all bit-for-bit
-identical at query time and all recorded in ``base.snapshot_backing``:
+**Backing modes.**  v3/v4 bases can load two ways, bit-for-bit
+identical at query time and recorded in ``base.snapshot_backing``:
 
 * ``"eager"`` — the file is read into process memory (the default);
 * ``"mmap"`` — ``load_base(path, mmap=True)`` memory-maps the file
@@ -47,9 +47,6 @@ identical at query time and all recorded in ``base.snapshot_backing``:
   :mod:`repro.service.procpool` worker processes rely on: attaching a
   shard costs page-table entries, not a per-process copy of the
   corpus.  The views are read-only — writing through them raises.
-* ``"shm"`` — :func:`load_base_buffer` over a
-  ``multiprocessing.shared_memory`` segment (the snapshotless service
-  path); same zero-copy property, the segment is the shared backing.
 """
 
 from __future__ import annotations
@@ -208,18 +205,6 @@ def save_base(base: ShapeBase, path: Union[str, Path], *,
     else:
         raise ValueError(f"cannot write shape-base file version {version}")
     return _write_atomic(path, payload)
-
-
-def encode_base(base: ShapeBase, *, hash_curves: Optional[int] = None,
-                ann_sketch=None) -> bytes:
-    """The v3/v4 snapshot payload for ``base`` as one bytes object.
-
-    Exactly what :func:`save_base` would write (v4 when ``ann_sketch``
-    is given, v3 otherwise), without touching the filesystem.  The
-    process-worker tier publishes shard bases through shared-memory
-    segments with this; :func:`load_base_buffer` is the inverse.
-    """
-    return _encode_v3(base, hash_curves, ann_sketch)
 
 
 # ----------------------------------------------------------------------
@@ -448,11 +433,10 @@ def apply_base_delta(base: ShapeBase, payload) -> int:
 def _load_v3(payload, backend: str, version: int = 3) -> ShapeBase:
     """Materialize a base from a v3/v4 payload buffer.
 
-    ``payload`` may be ``bytes``, an ``mmap.mmap`` mapping or a
-    ``memoryview`` — every column array is a zero-copy
-    ``np.frombuffer`` view over it, so the caller decides the backing
-    (heap, file mapping, shared memory).  The returned arrays are
-    read-only whenever the buffer is.
+    ``payload`` may be ``bytes`` or an ``mmap.mmap`` mapping — every
+    column array is a zero-copy ``np.frombuffer`` view over it, so the
+    caller decides the backing (heap or file mapping).  The returned
+    arrays are read-only whenever the buffer is.
     """
     if version == 4:
         alpha, num_shapes, num_entries, n_orig, n_copy, sig_curves, \
@@ -667,51 +651,14 @@ def load_base(path: Union[str, Path], backend: str = "kdtree", *,
     return base
 
 
-def load_base_buffer(buffer, backend: str = "kdtree", *,
-                     warm: bool = False,
-                     backing: str = "buffer") -> ShapeBase:
-    """Materialize a v3/v4 snapshot payload straight from a buffer.
-
-    ``buffer`` is any object exposing the buffer protocol — a
-    ``bytes`` payload, a ``memoryview`` over a
-    ``multiprocessing.shared_memory`` segment, an ``mmap`` mapping.
-    The column arrays view the buffer zero-copy, so the caller must
-    keep it alive for the base's lifetime (the base pins it via
-    ``_backing_buffer``); pass a read-only view (e.g.
-    ``memoryview(shm.buf).toreadonly()``) to guarantee the immutable-
-    snapshot contract.  ``backing`` labels ``base.snapshot_backing``
-    (the process tier uses ``"shm"``).  Only array-native v3/v4
-    payloads are supported — the whole point is zero-copy attach.
-    """
-    view = memoryview(buffer)
-    if len(view) < _PREFIX.size:
-        raise CorruptSnapshotError("truncated shape-base payload")
-    magic, version = _PREFIX.unpack_from(view, 0)
-    if magic != MAGIC:
-        raise CorruptSnapshotError("not a GeoSIR shape-base payload")
-    if version not in (3, 4):
-        raise CorruptSnapshotError(
-            f"buffer loads need an array-native v3/v4 payload, "
-            f"got version {version}")
-    header = _HEADER_V3 if version == 3 else _HEADER_V4
-    if len(view) < _PREFIX.size + header.size:
-        raise CorruptSnapshotError("truncated shape-base payload")
-    base = _load_v3(view, backend, version)
-    base.snapshot_backing = backing
-    base._backing_buffer = buffer
-    if warm:
-        base._ensure_arrays()
-    return base
-
-
 def snapshot_info(path: Union[str, Path]) -> Dict[str, object]:
     """Header-only peek at a snapshot: version, alpha and counts.
 
     Reads just the fixed-size header (no body verification) — cheap
     enough for CLI ``stats`` to call on every invocation.
     ``mmap_capable`` reports whether the file's format supports the
-    zero-copy backing modes (``load_base(mmap=True)`` / worker-process
-    attach): true for the array-native v3/v4 formats, false for the
+    zero-copy ``load_base(mmap=True)`` backing (what worker processes
+    attach with): true for the array-native v3/v4 formats, false for the
     re-normalizing v1/v2 loaders.
     """
     with open(path, "rb") as handle:

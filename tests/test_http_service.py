@@ -292,6 +292,22 @@ class TestHttpServer:
         assert status == 400
         assert "k must be" in payload["error"]
 
+    @pytest.mark.parametrize("path", ["/query", "/query_batch"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_sketch_gets_400_on_both_endpoints(
+            self, server, corpus, path, value):
+        # json.dumps writes these as NaN / Infinity, which the
+        # server's json.loads accepts.
+        _, queries = corpus
+        sketch = shape_to_dict(queries[0])
+        sketch["vertices"][1][0] = value
+        body = {"sketch": sketch, "k": 1} if path == "/query" \
+            else {"sketches": [sketch], "k": 1}
+        status, _, payload = request(server.address, "POST", path, body)
+        assert status == 400
+        assert "NaN or infinite" in payload["error"]
+
     def test_stats_surface(self, server, corpus):
         _, queries = corpus
         request(server.address, "POST", "/query",

@@ -5,8 +5,7 @@ exactly like the eager load for every supported snapshot version —
 v3/v4 map their columns as read-only views over the file, v1/v2
 silently fall back to the eager re-normalizing decode — while the
 mapped arrays reject writes (an immutable snapshot is what makes the
-many-reader process tier safe).  ``load_base_buffer`` is the same
-contract over an in-memory payload (the shared-memory publish path).
+many-reader process tier safe).
 """
 
 import numpy as np
@@ -15,8 +14,7 @@ import pytest
 from repro import GeometricSimilarityMatcher, ShapeBase
 from repro.ann import AnnConfig
 from repro.storage import CorruptSnapshotError, load_base, save_base
-from repro.storage.persist import (encode_base, load_base_buffer,
-                                   snapshot_info)
+from repro.storage.persist import snapshot_info
 
 from .conftest import star_shaped_polygon
 
@@ -153,21 +151,3 @@ class TestSnapshotInfo:
         with pytest.raises(CorruptSnapshotError):
             load_base(path, mmap=True)
 
-
-class TestBufferLoads:
-    def test_buffer_roundtrip_equals_file(self, built, tmp_path):
-        payload = encode_base(built)
-        from_buffer = load_base_buffer(payload, backing="shm")
-        assert from_buffer.snapshot_backing == "shm"
-        path = tmp_path / "b.gsb"
-        save_base(built, path, version=3)
-        _assert_bitwise_equal(load_base(path), from_buffer)
-
-    def test_buffer_load_rejects_legacy_payloads(self, built):
-        from repro.storage.persist import _encode_v2
-        with pytest.raises(CorruptSnapshotError, match="v3/v4"):
-            load_base_buffer(_encode_v2(built))
-
-    def test_buffer_load_rejects_garbage(self):
-        with pytest.raises(CorruptSnapshotError):
-            load_base_buffer(b"not a snapshot at all")

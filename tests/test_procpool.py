@@ -4,16 +4,18 @@ Two headline invariants:
 
 * **Bit-for-bit equality** — a process-mode service answers exactly
   like the thread-mode service (and stays equal across ingest-driven
-  republish/re-attach rounds), over both publish transports
-  (shared-memory segments and mmapped snapshot files);
+  republish/re-attach rounds); workers attach to mmapped snapshot
+  files, published into a configured directory or a private one the
+  pool creates and removes;
 * **Degraded, never failed** — SIGKILLing a worker process turns its
   shards' slices into degraded answers equal to the unsharded matcher
   restricted to the surviving shards, while the service keeps serving.
 
 Around those: pool lifecycle (shutdown idempotence, publication
-cleanup), cooperative deadlines across the pipe, and the fork-safety
-regressions for the matcher scratch pool and the storage BufferPool
-(satellite: two processes must never observe each other's scratch).
+cleanup, the private publish directory), cooperative deadlines across
+the pipe, and the fork-safety regressions for the matcher scratch pool
+and the storage BufferPool (satellite: two processes must never
+observe each other's scratch).
 """
 
 import os
@@ -150,7 +152,8 @@ class TestProcessEqualsThread:
                  process_config(snapshot_dir=str(snapdir))) as procs:
             published = sorted(os.listdir(snapdir))
             assert len(published) == NUM_SHARDS
-            assert procs.snapshot()["procpool"]["publish"] == "file"
+            assert procs.snapshot()["procpool"]["publish"] == \
+                str(snapdir)
             for query in queries[:3]:
                 a = threads.retrieve(query, k=5)
                 b = procs.retrieve(query, k=5)
@@ -180,10 +183,10 @@ class TestProcessEqualsThread:
 class TestSyncRobustness:
     def test_attach_failure_takes_worker_out_of_rotation(self, corpus,
                                                          monkeypatch):
-        """A live worker whose sync errors (attach: missing snapshot /
-        shm failure; delta: missed append window) must be retired —
-        not left serving the old corpus, and the error must not
-        surface out of query paths (regression)."""
+        """A live worker whose sync errors (attach: missing or
+        unreadable snapshot; delta: missed append window) must be
+        retired — not left serving the old corpus, and the error must
+        not surface out of query paths (regression)."""
         workload, queries = corpus
         config = process_config(retry_attempts=1, breaker=None)
         with RetrievalService.from_base(build_base(workload),
@@ -214,8 +217,8 @@ class TestSyncRobustness:
     def test_failed_publish_releases_partial_publications(
             self, corpus, tmp_path, monkeypatch):
         """A publish that dies midway must release the publications it
-        already made (no leaked snapshot files or shm segments) and
-        leave the installed generation serving (regression)."""
+        already made (no leaked snapshot files) and leave the installed
+        generation serving (regression)."""
         workload, queries = corpus
         snapdir = tmp_path / "pub"
         config = process_config(snapshot_dir=str(snapdir))
@@ -379,6 +382,46 @@ class TestPoolLifecycle:
             matches, stats = view.query(queries[0], 3)
             direct, _ = service.shards.shards[0].query(queries[0], 3)
             assert exact(matches) == exact(direct)
+
+
+class TestPrivatePublishDir:
+    """With no ``snapshot_dir`` the pool publishes into a private
+    ``repro-publish-*`` directory it creates and removes."""
+
+    def test_private_dir_holds_snapshots_until_shutdown(self, corpus):
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            directory = service.procpool.publish_dir
+            assert os.path.basename(directory).startswith(
+                "repro-publish-")
+            assert service.procpool.info()["publish"] == directory
+            published = sorted(os.listdir(directory))
+            assert len(published) == NUM_SHARDS
+            assert all(name.endswith(".gsb") for name in published)
+            assert service.retrieve(queries[0], k=3).status == "ok"
+        assert not os.path.exists(directory)
+
+    def test_revive_and_resync_leave_only_the_current_round(self,
+                                                            corpus):
+        workload, queries = corpus
+        with RetrievalService.from_base(build_base(workload),
+                                        process_config()) as service:
+            pool = service.procpool
+            first = set(os.listdir(pool.publish_dir))
+            pool.kill_worker(0)
+            deadline = time.monotonic() + 5.0
+            while 0 in pool.alive_workers() and \
+                    time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert pool.revive_workers() == [0]
+            assert pool.sync(service.shards, force=True)
+            current = set(os.listdir(pool.publish_dir))
+            assert len(current) == NUM_SHARDS
+            assert current.isdisjoint(first)
+            result = service.retrieve(queries[0], k=3)
+            assert result.status == "ok" and not result.failed_shards
+            assert pool.alive_workers() == list(range(PROCESSES))
 
 
 def _process_exists(pid: int) -> bool:

@@ -374,6 +374,47 @@ class TestKValidation:
         assert all(b["state"] == "closed" for b in breakers.values())
 
 
+def _poisoned(sketch, value):
+    """``sketch`` with one coordinate replaced by ``value``."""
+    vertices = np.array(sketch.vertices, dtype=float)
+    vertices[1, 0] = value
+    return Shape(vertices, closed=sketch.closed)
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestSketchValidation:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_sketch_rejected_before_admission(
+            self, service, corpus, value):
+        _, _, queries = corpus
+        bad = _poisoned(queries[0], value)
+        before = service.snapshot()["counters"].get("queries.total", 0)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            service.retrieve(bad, k=1)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            service.retrieve_batch([queries[1], bad], k=1)
+        assert service.snapshot()["counters"].get("queries.total", 0) \
+            == before
+        assert service.admission.pending == 0
+
+    def test_non_finite_burst_leaves_breakers_closed(self, corpus):
+        base, _, queries = corpus
+        with RetrievalService.from_base(
+                base, ServiceConfig(num_shards=2, workers=1,
+                                    cache_capacity=0)) as svc:
+            for _ in range(10):
+                with pytest.raises(ValueError):
+                    svc.retrieve(_poisoned(queries[0], float("nan")),
+                                 k=1)
+            result = svc.retrieve(queries[0], k=1)
+            breakers = svc.snapshot()["breakers"]
+        assert result.ok and not result.failed_shards
+        assert len(breakers) == 2
+        assert all(b["state"] == "closed" for b in breakers.values())
+
+
 # ----------------------------------------------------------------------
 # Deadlines and graceful degradation
 # ----------------------------------------------------------------------
